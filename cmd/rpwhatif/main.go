@@ -28,6 +28,7 @@ import (
 
 	"remotepeering"
 	"remotepeering/internal/cli"
+	"remotepeering/internal/lg"
 )
 
 var fatal = cli.Fataler("rpwhatif")
@@ -69,6 +70,10 @@ func main() {
 	if grid.Seeds, err = cli.Int64List(*seeds); err != nil {
 		fatal(err)
 	}
+	campaign, err := lg.CampaignDays(int64(*days))
+	if err != nil {
+		fatal(fmt.Errorf("-days: %w", err))
+	}
 
 	start := time.Now()
 	w, snap, err := snapFlags.ResolveWorld(common)
@@ -83,9 +88,7 @@ func main() {
 		GreedyIXPs:   *greedy,
 		Intervals:    *intervals,
 	}
-	if *days > 0 {
-		opts.Campaign.Duration = time.Duration(*days) * 24 * time.Hour
-	}
+	opts.Campaign.Duration = campaign
 	if snap != nil && snap.Cones != nil {
 		opts.Cones = snap.Cones
 	}

@@ -16,7 +16,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"remotepeering/internal/geo"
@@ -154,6 +154,13 @@ type Report struct {
 }
 
 // Analyze runs the detection pipeline over a campaign's observations.
+//
+// The detector reads the canonically sorted stream (lg.Sort) as
+// contiguous runs: one run per (IXP, target) interface, and within it
+// one sub-run per LG family. Every filter is a fold over those runs, so
+// no per-interface tables are built. Input that is not in canonical
+// order is sorted into a copy first; the caller's slice is never
+// reordered, and verdicts do not depend on input order.
 func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duration, cfg Config) (*Report, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
@@ -162,210 +169,191 @@ func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duratio
 		return nil, fmt.Errorf("core: non-positive campaign duration %v", campaign)
 	}
 	cfg = cfg.withDefaults()
+	if !lg.IsSorted(obs) {
+		obs = slices.Clone(obs)
+		lg.Sort(obs)
+	}
 
-	type ifaceKey struct {
-		ixp int
-		ip  netip.Addr
-	}
-	type ifaceObs struct {
-		acronym  string
-		families map[string][]lg.Observation // replies only, per LG family
-		replies  int
-	}
-	groups := make(map[ifaceKey]*ifaceObs)
-	var order []ifaceKey
-	for _, o := range obs {
-		k := ifaceKey{o.IXPIndex, o.Target}
-		g, ok := groups[k]
-		if !ok {
-			g = &ifaceObs{acronym: o.Acronym, families: make(map[string][]lg.Observation)}
-			groups[k] = g
-			order = append(order, k)
-		}
-		if _, seen := g.families[o.Family]; !seen {
-			g.families[o.Family] = nil
-		}
-		if !o.TimedOut {
-			g.families[o.Family] = append(g.families[o.Family], o)
-			g.replies++
+	ifaces := 0
+	for i := range obs {
+		if i == 0 || !sameIface(&obs[i-1], &obs[i]) {
+			ifaces++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].ixp != order[j].ixp {
-			return order[i].ixp < order[j].ixp
-		}
-		return order[i].ip.Less(order[j].ip)
-	})
-
-	rep := &Report{Cfg: cfg, Discards: make(map[Filter]int)}
-	accepted := func(ttl uint8) bool {
-		for _, t := range cfg.AcceptedTTLs {
-			if ttl == t {
-				return true
-			}
-		}
-		return false
+	rep := &Report{
+		Cfg:        cfg,
+		Interfaces: make([]InterfaceResult, 0, ifaces),
+		Discards:   make(map[Filter]int),
 	}
-	enabled := func(f Filter) bool { return !cfg.Disabled[f] }
-
-	for _, k := range order {
-		g := groups[k]
-		res := InterfaceResult{
-			IXPIndex: k.ixp,
-			Acronym:  g.acronym,
-			IP:       k.ip,
-			Replies:  g.replies,
+	for lo := 0; lo < len(obs); {
+		hi := lo + 1
+		for hi < len(obs) && sameIface(&obs[lo], &obs[hi]) {
+			hi++
 		}
-
-		// Identification (used by the ASN-change filter and the network
-		// analyses): registry lookups at campaign start and end.
-		asnEarly, okEarly := reg.LookupASN(k.ixp, k.ip, 0)
-		asnLate, okLate := reg.LookupASN(k.ixp, k.ip, 1)
-		if okEarly {
-			res.ASN = asnEarly
-			res.Identified = true
-		}
-
-		res.Discard = func() Filter {
-			// 1. Sample-size: every probing LG server must have returned
-			// at least MinRepliesPerLG replies.
-			if enabled(FilterSampleSize) {
-				for _, replies := range g.families {
-					if len(replies) < cfg.MinRepliesPerLG {
-						return FilterSampleSize
-					}
-				}
-			}
-
-			// 2. TTL-switch: the reply TTL must not change during the
-			// measurement period.
-			ttls := map[uint8]bool{}
-			for _, replies := range g.families {
-				for _, o := range replies {
-					ttls[o.TTL] = true
-				}
-			}
-			if enabled(FilterTTLSwitch) && len(ttls) > 1 {
-				return FilterTTLSwitch
-			}
-
-			// 3. TTL-match: the reply TTL must be one of the expected
-			// initial values; anything else betrays an extra IP hop or
-			// an unusual OS.
-			if enabled(FilterTTLMatch) {
-				for t := range ttls {
-					if !accepted(t) {
-						return FilterTTLMatch
-					}
-				}
-			}
-
-			// 4. RTT-consistent: at least MinConsistentReplies of the
-			// collected replies must sit within the window above the
-			// minimum RTT.
-			min, consistent := minAndWithin(g.families, cfg)
-			if enabled(FilterRTTConsistent) && consistent < cfg.MinConsistentReplies {
-				return FilterRTTConsistent
-			}
-			_ = min
-
-			// 5. LG-consistent: when both LG families probed the
-			// interface, their per-family minimum RTTs must agree within
-			// the window.
-			if enabled(FilterLGConsistent) && len(g.families) >= 2 {
-				var mins []time.Duration
-				for _, replies := range g.families {
-					if m, ok := minRTT(replies); ok {
-						mins = append(mins, m)
-					}
-				}
-				if len(mins) >= 2 {
-					lo, hi := mins[0], mins[0]
-					for _, m := range mins[1:] {
-						if m < lo {
-							lo = m
-						}
-						if m > hi {
-							hi = m
-						}
-					}
-					if hi > lo+cfg.window(lo) {
-						return FilterLGConsistent
-					}
-				}
-			}
-
-			// 6. ASN-change: the registry identification must be stable
-			// across the campaign.
-			if enabled(FilterASNChange) && okEarly && okLate && asnEarly != asnLate {
-				return FilterASNChange
-			}
-			return FilterNone
-		}()
-
-		if res.Discard == FilterNone {
-			var all []lg.Observation
-			for _, replies := range g.families {
-				all = append(all, replies...)
-			}
-			m, ok := minRTT(all)
-			if !ok {
-				// No replies at all and the sample-size filter was
-				// disabled: treat as a sample-size discard regardless,
-				// since there is nothing to classify.
-				res.Discard = FilterSampleSize
-			} else {
-				res.MinRTT = m
-				res.Class = geo.ClassifyRTT(m)
-				res.Remote = m >= cfg.RemoteThreshold
-			}
-		}
+		res := analyzeIface(obs[lo:hi], reg, &cfg)
 		if res.Discard != FilterNone {
 			rep.Discards[res.Discard]++
 		}
 		rep.Interfaces = append(rep.Interfaces, res)
+		lo = hi
 	}
 	return rep, nil
 }
 
-// minRTT returns the minimum RTT among replies.
-func minRTT(replies []lg.Observation) (time.Duration, bool) {
-	if len(replies) == 0 {
-		return 0, false
-	}
-	m := replies[0].RTT
-	for _, o := range replies[1:] {
-		if o.RTT < m {
-			m = o.RTT
-		}
-	}
-	return m, true
+// sameIface reports whether two observations probe the same interface.
+func sameIface(a, b *lg.Observation) bool {
+	return a.IXPIndex == b.IXPIndex && a.Target == b.Target
 }
 
-// minAndWithin returns the pooled minimum RTT and the number of replies
-// within the consistency window above it.
-func minAndWithin(families map[string][]lg.Observation, cfg Config) (time.Duration, int) {
-	var min time.Duration
-	first := true
-	for _, replies := range families {
-		for _, o := range replies {
-			if first || o.RTT < min {
-				min = o.RTT
-				first = false
+// ifaceSummary folds one interface's observations into what the six
+// filters read.
+type ifaceSummary struct {
+	replies     int           // echo replies, all LG families pooled
+	families    int           // LG families that probed the interface
+	shortFamily bool          // some family returned < MinRepliesPerLG replies
+	minFamilies int           // families with at least one reply
+	famLo       time.Duration // lowest per-family minimum RTT
+	famHi       time.Duration // highest per-family minimum RTT
+	min         time.Duration // pooled minimum RTT (when replies > 0)
+	ttl         uint8         // first reply TTL seen
+	ttlSwitch   bool          // replies carry more than one TTL
+	ttlOdd      bool          // some reply TTL is not an accepted value
+}
+
+// summarize folds run — one interface's observations in canonical order,
+// so each LG family's observations are contiguous — into an
+// ifaceSummary.
+func summarize(run []lg.Observation, cfg *Config) ifaceSummary {
+	var s ifaceSummary
+	for lo := 0; lo < len(run); {
+		hi := lo
+		famReplies := 0
+		var famMin time.Duration
+		for ; hi < len(run) && run[hi].Family == run[lo].Family; hi++ {
+			o := &run[hi]
+			if o.TimedOut {
+				continue
 			}
+			if famReplies == 0 || o.RTT < famMin {
+				famMin = o.RTT
+			}
+			famReplies++
+			if s.replies == 0 {
+				s.ttl = o.TTL
+			} else if o.TTL != s.ttl {
+				s.ttlSwitch = true
+			}
+			if !slices.Contains(cfg.AcceptedTTLs, o.TTL) {
+				s.ttlOdd = true
+			}
+			s.replies++
 		}
+		s.families++
+		if famReplies < cfg.MinRepliesPerLG {
+			s.shortFamily = true
+		}
+		if famReplies > 0 {
+			if s.minFamilies == 0 || famMin < s.famLo {
+				s.famLo = famMin
+			}
+			if s.minFamilies == 0 || famMin > s.famHi {
+				s.famHi = famMin
+			}
+			s.minFamilies++
+		}
+		lo = hi
 	}
-	if first {
-		return 0, 0
-	}
-	limit := min + cfg.window(min)
+	s.min = s.famLo
+	return s
+}
+
+// within counts the replies in run whose RTT is at most limit.
+func within(run []lg.Observation, limit time.Duration) int {
 	n := 0
-	for _, replies := range families {
-		for _, o := range replies {
-			if o.RTT <= limit {
-				n++
-			}
+	for i := range run {
+		if !run[i].TimedOut && run[i].RTT <= limit {
+			n++
 		}
 	}
-	return min, n
+	return n
+}
+
+// analyzeIface applies the six filters, in the paper's order, to one
+// interface's observations and classifies it if it survives.
+func analyzeIface(run []lg.Observation, reg *registry.Registry, cfg *Config) InterfaceResult {
+	first := &run[0]
+	s := summarize(run, cfg)
+	res := InterfaceResult{
+		IXPIndex: first.IXPIndex,
+		Acronym:  first.Acronym,
+		IP:       first.Target,
+		Replies:  s.replies,
+	}
+
+	// Identification (used by the ASN-change filter and the network
+	// analyses): registry lookups at campaign start and end.
+	asnEarly, okEarly := reg.LookupASN(res.IXPIndex, res.IP, 0)
+	asnLate, okLate := reg.LookupASN(res.IXPIndex, res.IP, 1)
+	if okEarly {
+		res.ASN = asnEarly
+		res.Identified = true
+	}
+	enabled := func(f Filter) bool { return !cfg.Disabled[f] }
+
+	res.Discard = func() Filter {
+		// 1. Sample-size: every probing LG server must have returned at
+		// least MinRepliesPerLG replies.
+		if enabled(FilterSampleSize) && s.shortFamily {
+			return FilterSampleSize
+		}
+		// 2. TTL-switch: the reply TTL must not change during the
+		// measurement period.
+		if enabled(FilterTTLSwitch) && s.ttlSwitch {
+			return FilterTTLSwitch
+		}
+		// 3. TTL-match: the reply TTL must be one of the expected
+		// initial values; anything else betrays an extra IP hop or an
+		// unusual OS.
+		if enabled(FilterTTLMatch) && s.ttlOdd {
+			return FilterTTLMatch
+		}
+		// 4. RTT-consistent: at least MinConsistentReplies of the
+		// collected replies must sit within the window above the
+		// minimum RTT.
+		if enabled(FilterRTTConsistent) {
+			consistent := 0
+			if s.replies > 0 {
+				consistent = within(run, s.min+cfg.window(s.min))
+			}
+			if consistent < cfg.MinConsistentReplies {
+				return FilterRTTConsistent
+			}
+		}
+		// 5. LG-consistent: when both LG families probed the interface,
+		// their per-family minimum RTTs must agree within the window.
+		if enabled(FilterLGConsistent) && s.families >= 2 && s.minFamilies >= 2 &&
+			s.famHi > s.famLo+cfg.window(s.famLo) {
+			return FilterLGConsistent
+		}
+		// 6. ASN-change: the registry identification must be stable
+		// across the campaign.
+		if enabled(FilterASNChange) && okEarly && okLate && asnEarly != asnLate {
+			return FilterASNChange
+		}
+		return FilterNone
+	}()
+
+	if res.Discard == FilterNone {
+		if s.replies == 0 {
+			// No replies at all and the sample-size filter was
+			// disabled: treat as a sample-size discard regardless,
+			// since there is nothing to classify.
+			res.Discard = FilterSampleSize
+		} else {
+			res.MinRTT = s.min
+			res.Class = geo.ClassifyRTT(s.min)
+			res.Remote = s.min >= cfg.RemoteThreshold
+		}
+	}
+	return res
 }

@@ -360,6 +360,41 @@ func TestTickNeverHedgesOrRetries(t *testing.T) {
 	}
 }
 
+// TestLiveWorldReadsNeverHedge pins that once a world's timeline is
+// live, reads of it go to the owner alone, however slow: a hedge to a
+// member without the journal would answer from the genesis world and
+// could win the race with that stale answer.
+func TestLiveWorldReadsNeverHedge(t *testing.T) {
+	w1 := newStubWorker(t, "w1", digA)
+	w2 := newStubWorker(t, "w2", digA)
+	cfg := fastConfig(w1.url(), w2.url())
+	cfg.HedgeDelay = 5 * time.Millisecond // hair-trigger: any hedge would fire
+	r := newTestRouter(t, cfg)
+
+	cands, _ := r.candidates(digA)
+	owner := w1
+	if cands[0].url != w1.url() {
+		owner = w2
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/tick?world="+digA+"&n=1", nil)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !r.isLive(digA) {
+		t.Fatalf("tick status = %d, live = %v", rec.Code, r.isLive(digA))
+	}
+
+	owner.delay.Store(int64(60 * time.Millisecond))
+	for _, path := range []string{"/v1/tick", "/v1/newspaper", "/v1/since"} {
+		status, _, body := routerGet(t, r, path+"?world="+digA)
+		if status != http.StatusOK || !strings.Contains(string(body), owner.name) {
+			t.Errorf("%s: status %d, body %s; want the owner %s's answer", path, status, body, owner.name)
+		}
+	}
+	if r.hedges.Value() != 0 {
+		t.Errorf("live-world reads were hedged %d times", r.hedges.Value())
+	}
+}
+
 func TestOrphanedWorldDegradesGracefully(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digB)

@@ -217,7 +217,10 @@ func TestChaosByteIdentity(t *testing.T) {
 		Delay: 2 * time.Millisecond,
 	})
 	r := newTestRouter(t, cfg)
-	waitFor(t, "a member up", func() bool { return len(r.upMembers()) > 0 })
+	// Wait until a routable member advertises the world, not merely until
+	// one is up: its world list arrives by a separate poll, which the
+	// injected connection drops can delay past the first heartbeat.
+	waitFor(t, "a member advertising the world", func() bool { return r.digests()[digest] })
 
 	// Both endpoints are pure functions of the snapshot — /v1/world is
 	// deliberately absent: its body reports mutable server state

@@ -216,6 +216,13 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 				break
 			}
 		}
+		if r.isLive(digest) {
+			// A live world's timeline exists on its journal owner alone;
+			// any other member answers from the genesis world (a stale
+			// tick, or 404 for views it never built), and a hedge that
+			// returns first would win with that answer.
+			hedgeTo = nil
+		}
 		tried[primary.url] = true
 
 		start := time.Now()

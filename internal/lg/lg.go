@@ -10,6 +10,7 @@ package lg
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"time"
@@ -78,6 +79,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// CampaignDays converts a campaign length in whole days to a Duration.
+// Zero means the caller's default and converts to zero; a negative count,
+// or one too long for time.Duration to hold (over ~106,751 days), is an
+// error rather than a silently wrapped duration.
+func CampaignDays(days int64) (time.Duration, error) {
+	const day = int64(24 * time.Hour)
+	if days < 0 || days > math.MaxInt64/day {
+		return 0, fmt.Errorf("lg: campaign of %d days out of range [0, %d]", days, math.MaxInt64/day)
+	}
+	return time.Duration(days * day), nil
+}
+
 // Campaign schedules and collects a measurement campaign across a set of
 // simulated IXPs sharing one engine.
 type Campaign struct {
@@ -96,12 +109,21 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 	if len(sim.Targets) == 0 {
 		return fmt.Errorf("lg: IXP %s has no probe targets", sim.Acronym)
 	}
+	// Every probe reports exactly once, so the observation stream's
+	// final length is known now.
+	probes := 0
 	for _, server := range sim.LGs {
-		server := server
-		rounds, pings := c.cfg.PCHRounds, c.cfg.PingsPerQueryPCH
-		if server.Family == ixpsim.FamilyRIPE {
-			rounds, pings = c.cfg.RIPERounds, c.cfg.PingsPerQueryRIPE
+		rounds, pings := c.perServer(server)
+		if c.cfg.Duration/time.Duration(rounds)/2 <= 0 {
+			return fmt.Errorf("lg: campaign of %v too short for %d rounds", c.cfg.Duration, rounds)
 		}
+		probes += rounds * pings * len(sim.Targets)
+	}
+	c.obs = slices.Grow(c.obs, probes)
+	e.Reserve(probes)
+	for _, server := range sim.LGs {
+		rounds, pings := c.perServer(server)
+		record := c.recorder(sim, server)
 		roundSpan := c.cfg.Duration / time.Duration(rounds)
 		for r := 0; r < rounds; r++ {
 			// Each round starts at a different time of day and day of
@@ -111,31 +133,39 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 			roundStart := base + jitter
 			for ti, target := range sim.Targets {
 				qAt := roundStart + time.Duration(ti)*c.cfg.QuerySpacing
-				c.scheduleQuery(e, sim, server, target, qAt, pings)
+				// One LG query: `pings` echo requests spaced one
+				// second apart.
+				for p := 0; p < pings; p++ {
+					server.Node.PingAt(qAt+time.Duration(p)*time.Second, target, c.cfg.PingTimeout, record)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// scheduleQuery issues one LG query: `pings` echo requests spaced one
-// second apart.
-func (c *Campaign) scheduleQuery(e *netsim.Engine, sim *ixpsim.SimIXP, server *ixpsim.LGServer, target netip.Addr, at time.Duration, pings int) {
-	for p := 0; p < pings; p++ {
-		sendAt := at + time.Duration(p)*time.Second
-		e.Schedule(sendAt, func() {
-			server.Node.Ping(target, c.cfg.PingTimeout, func(r netsim.PingResult) {
-				c.obs = append(c.obs, Observation{
-					IXPIndex: sim.IXPIndex,
-					Acronym:  sim.Acronym,
-					Family:   server.Family,
-					Target:   target,
-					SentAt:   r.SentAt,
-					RTT:      r.RTT,
-					TTL:      r.TTL,
-					TimedOut: r.TimedOut,
-				})
-			})
+// perServer returns the query rounds per target and the pings per query
+// of the server's LG family.
+func (c *Campaign) perServer(server *ixpsim.LGServer) (rounds, pings int) {
+	if server.Family == ixpsim.FamilyRIPE {
+		return c.cfg.RIPERounds, c.cfg.PingsPerQueryRIPE
+	}
+	return c.cfg.PCHRounds, c.cfg.PingsPerQueryPCH
+}
+
+// recorder returns the ping callback that appends one server's outcomes
+// to the campaign; the probed target travels in the result.
+func (c *Campaign) recorder(sim *ixpsim.SimIXP, server *ixpsim.LGServer) func(netsim.PingResult) {
+	return func(r netsim.PingResult) {
+		c.obs = append(c.obs, Observation{
+			IXPIndex: sim.IXPIndex,
+			Acronym:  sim.Acronym,
+			Family:   server.Family,
+			Target:   r.Target,
+			SentAt:   r.SentAt,
+			RTT:      r.RTT,
+			TTL:      r.TTL,
+			TimedOut: r.TimedOut,
 		})
 	}
 }
@@ -153,31 +183,73 @@ func (c *Campaign) Observations() []Observation {
 func (c *Campaign) Raw() []Observation { return c.obs }
 
 // Sort orders observations by IXP, target, family, and send time — the
-// canonical order downstream analysis expects. The sort is stable, and all
-// four-way key ties originate from a single IXP's engine, whose execution
-// order is deterministic; this is what lets a parallel campaign merge
-// per-IXP observation streams into a byte-identical result for any worker
-// count.
+// canonical order downstream analysis expects. The order is the stable
+// one: all four-way key ties originate from a single IXP's engine, whose
+// execution order is deterministic, and they keep their input order.
+// This is what lets a parallel campaign merge per-IXP observation
+// streams into a byte-identical result for any worker count.
+//
+// Observations are 88-byte records, so rather than moving them through a
+// stable merge sort, Sort sorts a 4-byte index permutation with an
+// unstable sort whose comparator breaks key ties on the original index —
+// which yields exactly the stable order — and then applies the
+// permutation in place, moving each record once.
 func Sort(obs []Observation) {
-	// SortStableFunc rather than sort.SliceStable: the campaign merge
-	// sorts hundreds of thousands of observations, and the generic sort
-	// moves elements directly instead of through reflection-based swaps.
-	// Same comparator, same stable order, same bytes out.
-	slices.SortStableFunc(obs, func(a, b Observation) int {
-		if a.IXPIndex != b.IXPIndex {
-			return cmp.Compare(a.IXPIndex, b.IXPIndex)
+	perm := make([]int32, len(obs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := Compare(&obs[a], &obs[b]); c != 0 {
+			return c
 		}
-		if a.Target != b.Target {
-			if a.Target.Less(b.Target) {
-				return -1
-			}
-			return 1
-		}
-		if a.Family != b.Family {
-			return cmp.Compare(a.Family, b.Family)
-		}
-		return cmp.Compare(a.SentAt, b.SentAt)
+		return cmp.Compare(a, b)
 	})
+	// perm[k] names the record that belongs at k. Follow each cycle,
+	// marking visited positions by pointing them at themselves.
+	for start := range perm {
+		if int(perm[start]) == start {
+			continue
+		}
+		held := obs[start]
+		k := start
+		for {
+			src := int(perm[k])
+			perm[k] = int32(k)
+			if src == start {
+				obs[k] = held
+				break
+			}
+			obs[k] = obs[src]
+			k = src
+		}
+	}
+}
+
+// Compare orders two observations canonically — by IXP, target, family,
+// and send time — returning -1, 0 or +1. Sort orders by it; equal keys
+// keep their input order.
+func Compare(a, b *Observation) int {
+	if a.IXPIndex != b.IXPIndex {
+		return cmp.Compare(a.IXPIndex, b.IXPIndex)
+	}
+	if c := a.Target.Compare(b.Target); c != 0 {
+		return c
+	}
+	if a.Family != b.Family {
+		return cmp.Compare(a.Family, b.Family)
+	}
+	return cmp.Compare(a.SentAt, b.SentAt)
+}
+
+// IsSorted reports whether obs is already in canonical order.
+func IsSorted(obs []Observation) bool {
+	for i := 1; i < len(obs); i++ {
+		if Compare(&obs[i-1], &obs[i]) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Config returns the effective configuration.

@@ -1,6 +1,8 @@
 package lg
 
 import (
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -199,6 +201,56 @@ func TestRateLimitRespected(t *testing.T) {
 			if gap := times[i] - times[i-1]; gap < time.Minute {
 				t.Fatalf("%s: queries %v apart, limit is 1/min", fam, gap)
 			}
+		}
+	}
+}
+
+func TestCampaignDays(t *testing.T) {
+	for _, tc := range []struct {
+		days int64
+		want time.Duration
+		ok   bool
+	}{
+		{0, 0, true},
+		{120, 120 * 24 * time.Hour, true},
+		{106751, 106751 * 24 * time.Hour, true},
+		{106752, 0, false},
+		{200000, 0, false},
+		{-1, 0, false},
+	} {
+		got, err := CampaignDays(tc.days)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("CampaignDays(%d) = %v, %v; want %v, ok=%v", tc.days, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestSortMatchesStableSort pins Sort's index-permutation sort to the
+// stable order it replaces: on streams full of four-way key ties, whose
+// non-key fields tell the tied records apart, Sort must produce exactly
+// what a stable sort on the canonical key produces.
+func TestSortMatchesStableSort(t *testing.T) {
+	src := stats.NewSource(5)
+	for trial := 0; trial < 50; trial++ {
+		obs := make([]Observation, src.Intn(400))
+		for i := range obs {
+			obs[i] = Observation{
+				IXPIndex: src.Intn(3),
+				Family:   []string{ixpsim.FamilyPCH, ixpsim.FamilyRIPE}[src.Intn(2)],
+				Target:   netip.AddrFrom4([4]byte{10, 0, 0, byte(src.Intn(4))}),
+				SentAt:   time.Duration(src.Intn(3)) * time.Second,
+				RTT:      time.Duration(i), // unique: identifies the record
+				TTL:      uint8(src.Intn(256)),
+			}
+		}
+		want := slices.Clone(obs)
+		slices.SortStableFunc(want, func(a, b Observation) int { return Compare(&a, &b) })
+		Sort(obs)
+		if !slices.Equal(obs, want) {
+			t.Fatalf("trial %d: Sort differs from the stable sort", trial)
+		}
+		if !IsSorted(obs) {
+			t.Fatalf("trial %d: IsSorted false after Sort", trial)
 		}
 	}
 }

@@ -16,21 +16,60 @@ package netsim
 
 import (
 	"errors"
+	"net/netip"
+	"slices"
 	"time"
 )
 
 // Engine is the discrete-event core. The zero value is ready to use.
+//
+// The simulator's own events are typed: the queue holds small (at, seq,
+// kind, slot) entries and each event's operands sit in a recycled
+// payload slot, so frame deliveries, delayed transmissions, ping
+// launches and ping timeouts schedule without allocating a closure.
+// Frames travel in recycled buffers from a per-engine free list (see
+// getBuf). Arbitrary callbacks (Schedule, After) remain one event kind
+// among the others and share the same (at, seq) order.
 type Engine struct {
 	now    time.Duration
 	queue  eventQueue
 	seq    uint64
 	halted bool
+
+	slots     []payload
+	freeSlots []int32
+	bufs      [][]byte
 }
 
+// eventKind selects how an event's payload is executed.
+type eventKind uint8
+
+const (
+	evFunc        eventKind = iota // payload.fn()
+	evDeliver                      // payload.frame arrives at payload.iface
+	evSendIP                       // payload.node routes payload.frame
+	evPing                         // payload.node pings payload.dst
+	evPingTimeout                  // payload.node's ping payload.ping expires
+)
+
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at   time.Duration
+	seq  uint64
+	slot int32
+	kind eventKind
+}
+
+// payload holds an event's operands; which fields are set depends on
+// the event's kind. A frame in a payload is owned by the event.
+type payload struct {
+	fn      func()
+	cb      func(PingResult)
+	node    *Node
+	iface   *Iface
+	frame   []byte
+	dst     netip.Addr
+	timeout time.Duration
+	ping    int32
 }
 
 // before is the total event order: time, then schedule sequence. (at, seq)
@@ -71,7 +110,6 @@ func (q *eventQueue) pop() event {
 	root := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release the closure for GC
 	h = h[:last]
 	*q = h
 	i := 0
@@ -108,16 +146,75 @@ func (e *Engine) Now() time.Duration { return e.now }
 // past is an error and panics: it always indicates a bug in a model
 // component, and silently reordering events would destroy determinism.
 func (e *Engine) Schedule(at time.Duration, fn func()) {
-	if at < e.now {
-		panic("netsim: scheduling into the past")
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
+	e.schedule(at, evFunc).fn = fn
 }
 
 // After schedules fn after a delay from the current time.
 func (e *Engine) After(d time.Duration, fn func()) {
 	e.Schedule(e.now+d, fn)
+}
+
+// schedule queues an event of the given kind at time at and returns its
+// payload slot for the caller to fill. The pointer is valid until the
+// next schedule call.
+func (e *Engine) schedule(at time.Duration, kind eventKind) *payload {
+	if at < e.now {
+		panic("netsim: scheduling into the past")
+	}
+	var slot int32
+	if k := len(e.freeSlots); k > 0 {
+		slot = e.freeSlots[k-1]
+		e.freeSlots = e.freeSlots[:k-1]
+	} else {
+		slot = int32(len(e.slots))
+		e.slots = append(e.slots, payload{})
+	}
+	e.seq++
+	e.queue.push(event{at: at, seq: e.seq, slot: slot, kind: kind})
+	return &e.slots[slot]
+}
+
+// Reserve makes room for n more pending events, so a caller that queues
+// a known number of events up front (a campaign's probes) grows the
+// queue and the payload slots once instead of by repeated doubling.
+func (e *Engine) Reserve(n int) {
+	e.queue = slices.Grow(e.queue, n)
+	if n > len(e.freeSlots) {
+		e.slots = slices.Grow(e.slots, n-len(e.freeSlots))
+	}
+}
+
+// frameCap is the capacity of recycled frame buffers: room for an
+// Ethernet, IPv4 and ICMP time-exceeded frame quoting 28 bytes (70
+// bytes), the largest frame the simulator builds without a payload.
+const frameCap = 128
+
+// getBuf returns a buffer of length n from the free list, allocating
+// only when the list is empty or n exceeds frameCap. Its contents are
+// stale: the caller writes every byte it uses.
+func (e *Engine) getBuf(n int) []byte {
+	if n > frameCap {
+		return make([]byte, n)
+	}
+	if k := len(e.bufs); k > 0 {
+		b := e.bufs[k-1]
+		e.bufs = e.bufs[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, frameCap)
+}
+
+// putBuf returns a buffer to the free list. Only the owner of a buffer
+// may release it, and only once nothing reads it any more: a frame is
+// owned by the node building it, then by its delivery event, and is
+// released once the receiving interface's handler returns. Handlers copy
+// whatever they keep (a forwarded packet, a quoted header, an echoed
+// payload). Buffers of other capacities (oversized frames) are left to
+// the garbage collector.
+func (e *Engine) putBuf(b []byte) {
+	if cap(b) == frameCap {
+		e.bufs = append(e.bufs, b[:0])
+	}
 }
 
 // ErrHalted is returned by Run variants when Halt was called.
@@ -152,11 +249,27 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 	return nil
 }
 
-// step pops and executes one event.
+// step pops and executes one event. The payload is copied out and its
+// slot freed before execution, so the handler may schedule into it.
 func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.at
-	ev.fn()
+	p := e.slots[ev.slot]
+	e.slots[ev.slot] = payload{}
+	e.freeSlots = append(e.freeSlots, ev.slot)
+	switch ev.kind {
+	case evFunc:
+		p.fn()
+	case evDeliver:
+		p.iface.receive(p.frame)
+		e.putBuf(p.frame)
+	case evSendIP:
+		p.node.sendIP(p.frame)
+	case evPing:
+		p.node.Ping(p.dst, p.timeout, p.cb)
+	case evPingTimeout:
+		p.node.pingTimeout(p.ping)
+	}
 }
 
 // Halt stops Run/RunUntil before the next event.

@@ -153,17 +153,16 @@ func (f *Fabric) ResolveMAC(ip netip.Addr) (packet.MAC, bool) {
 	return packet.MAC{}, false
 }
 
-// send delivers frame from the attachment of src. Unicast frames go to the
-// owner of the destination MAC; unknown destinations are dropped (the
-// simulator does not flood, since nothing in the study depends on
-// flooding).
+// send delivers frame from the attachment of src, taking ownership of
+// the buffer (see Engine.putBuf). Unicast frames go to the owner of the
+// destination MAC; unknown destinations are dropped (the simulator does
+// not flood, since nothing in the study depends on flooding). A
+// broadcast hands every receiver its own copy.
 func (f *Fabric) send(src *Iface, frame []byte) {
 	eth, _, err := packet.UnmarshalEthernet(frame)
-	if err != nil {
-		return
-	}
 	srcAtt := src.attachment
-	if srcAtt == nil {
+	if err != nil || srcAtt == nil {
+		f.engine.putBuf(frame)
 		return
 	}
 	if eth.Dst.IsBroadcast() {
@@ -171,27 +170,28 @@ func (f *Fabric) send(src *Iface, frame []byte) {
 			if dst.Iface == src {
 				continue
 			}
-			f.deliver(srcAtt, dst, frame)
+			f.deliver(srcAtt, dst, append(f.engine.getBuf(0), frame...))
 		}
+		f.engine.putBuf(frame)
 		return
 	}
 	dst, ok := f.byMAC[eth.Dst]
 	if !ok {
+		f.engine.putBuf(frame)
 		return
 	}
 	f.deliver(srcAtt, dst, frame)
 }
 
-// deliver schedules the arrival of frame at dst.
+// deliver schedules the arrival of frame, which the event then owns, at
+// dst.
 func (f *Fabric) deliver(src, dst *Attachment, frame []byte) {
 	now := f.engine.Now()
 	delay := src.Access + dst.Access + f.SwitchLatency +
 		f.interLocation(src.Location, dst.Location) +
 		f.Noise.Sample(now) +
 		dst.ExtraNoise.Sample(now)
-	// Copy the frame so in-place TTL rewrites downstream cannot alias.
-	buf := append([]byte(nil), frame...)
-	f.engine.Schedule(now+delay, func() {
-		dst.Iface.receive(buf)
-	})
+	p := f.engine.schedule(now+delay, evDeliver)
+	p.iface = dst.Iface
+	p.frame = frame
 }

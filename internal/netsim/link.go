@@ -44,16 +44,17 @@ func (l *Link) Peer(iface *Iface) *Iface {
 	}
 }
 
-// send schedules delivery of frame to the peer of src.
+// send schedules delivery of frame to the peer of src, taking ownership
+// of the buffer (see Engine.putBuf).
 func (l *Link) send(src *Iface, frame []byte) {
 	dst := l.Peer(src)
 	if dst == nil {
+		l.engine.putBuf(frame)
 		return
 	}
 	now := l.engine.Now()
 	delay := l.Delay + l.Noise.Sample(now)
-	buf := append([]byte(nil), frame...)
-	l.engine.Schedule(now+delay, func() {
-		dst.receive(buf)
-	})
+	p := l.engine.schedule(now+delay, evDeliver)
+	p.iface = dst
+	p.frame = frame
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"sync/atomic"
@@ -49,7 +48,11 @@ type Node struct {
 	procSrc *stats.Source
 
 	nextIdent uint16
-	pending   map[uint16]*pingState
+	// pending maps an outstanding ping's ident to its slot in pings;
+	// freePings lists the slots whose timeout has fired.
+	pending   map[uint16]int32
+	pings     []pingState
+	freePings []int32
 	traces    map[uint16]func(netip.Addr, bool)
 }
 
@@ -68,7 +71,7 @@ func NewNode(e *Engine, name string, os OSProfile, forwarding bool, src *stats.S
 		Forwarding: forwarding,
 		engine:     e,
 		os:         os,
-		pending:    make(map[uint16]*pingState),
+		pending:    make(map[uint16]int32),
 	}
 	if src != nil {
 		n.lossSrc = src.Split("loss")
@@ -107,7 +110,7 @@ var macCounter atomic.Uint64
 func (n *Node) AddIface(name string, addrs ...netip.Prefix) *Iface {
 	iface := &Iface{
 		Node:  n,
-		Name:  fmt.Sprintf("%s/%s", n.Name, name),
+		Name:  n.Name + "/" + name,
 		MAC:   packet.MACFromUint64(macCounter.Add(1)),
 		addrs: addrs,
 	}
@@ -185,37 +188,68 @@ func (n *Node) lookupRoute(dst netip.Addr) (out *Iface, nextHop netip.Addr, ok b
 	return out, nextHop, ok
 }
 
-// sendIP routes and transmits a marshalled IPv4 packet originated or
-// forwarded by this node.
-func (n *Node) sendIP(ipPkt []byte) {
-	hdr, _, err := packet.UnmarshalIPv4(ipPkt)
+// ipOffset is where the IPv4 packet starts in a frame buffer: the
+// Ethernet header's headroom in front of it is filled in by transmit.
+const ipOffset = packet.EthernetHeaderLen
+
+// ipFrame returns a recycled frame buffer holding headroom for the
+// Ethernet and IPv4 headers; the caller appends the IP payload and seals
+// it with sealIP.
+func (n *Node) ipFrame() []byte {
+	return n.engine.getBuf(ipOffset + packet.IPv4HeaderLen)
+}
+
+// sealIP writes ip's header in front of the payload appended to frame.
+// When the header cannot be encoded it releases frame and returns nil.
+func (n *Node) sealIP(ip *packet.IPv4, frame []byte) []byte {
+	if err := ip.MarshalTo(frame[ipOffset:]); err != nil {
+		n.engine.putBuf(frame)
+		return nil
+	}
+	return frame
+}
+
+// sendIP routes and transmits an IPv4 packet originated or forwarded by
+// this node. frame holds the packet at ipOffset and is owned by the
+// call: it is handed to the medium or released.
+func (n *Node) sendIP(frame []byte) {
+	hdr, _, err := packet.UnmarshalIPv4(frame[ipOffset:])
 	if err != nil {
+		n.engine.putBuf(frame)
 		return
 	}
 	out, nextHop, ok := n.lookupRoute(hdr.Dst)
 	if !ok {
+		n.engine.putBuf(frame)
 		return // no route: silently dropped
 	}
-	n.transmit(out, nextHop, ipPkt)
+	n.transmit(out, nextHop, frame)
 }
 
-// transmit resolves the next hop on the output medium and sends the frame.
-func (n *Node) transmit(out *Iface, nextHop netip.Addr, ipPkt []byte) {
+// transmit resolves the next hop on the output medium, writes the
+// Ethernet header into frame's headroom and sends it.
+func (n *Node) transmit(out *Iface, nextHop netip.Addr, frame []byte) {
 	switch {
 	case out.fabric != nil:
 		dstMAC, ok := out.fabric.ResolveMAC(nextHop)
 		if !ok {
+			n.engine.putBuf(frame)
 			return // unanswered ARP
 		}
 		eth := packet.Ethernet{Dst: dstMAC, Src: out.MAC, Type: packet.EtherTypeIPv4}
-		out.fabric.send(out, eth.Marshal(ipPkt))
+		eth.MarshalTo(frame)
+		out.fabric.send(out, frame)
 	case out.link != nil:
 		peer := out.link.Peer(out)
 		if peer == nil {
+			n.engine.putBuf(frame)
 			return
 		}
 		eth := packet.Ethernet{Dst: peer.MAC, Src: out.MAC, Type: packet.EtherTypeIPv4}
-		out.link.send(out, eth.Marshal(ipPkt))
+		eth.MarshalTo(frame)
+		out.link.send(out, frame)
+	default:
+		n.engine.putBuf(frame)
 	}
 }
 
@@ -251,16 +285,18 @@ func (n *Node) receiveIP(in *Iface, ipPkt []byte) {
 	}
 	// Forwarding path: the TTL decrement here is what the paper's
 	// TTL-match filter detects when a probe or reply strays off the IXP
-	// subnet onto a routed path.
-	fwd := append([]byte(nil), ipPkt...)
-	ttl, err := packet.DecrementTTL(fwd)
-	if err != nil {
-		return
-	}
-	if ttl == 0 {
+	// subnet onto a routed path. The rewrite happens on the forwarded
+	// packet's own buffer: the received frame is released when this
+	// handler returns.
+	switch hdr.TTL {
+	case 0:
+		return // expired upstream; nothing to decrement
+	case 1:
 		n.sendTimeExceeded(in, hdr, ipPkt)
 		return
 	}
+	fwd := append(n.engine.getBuf(ipOffset), ipPkt...)
+	packet.DecrementTTL(fwd[ipOffset:])
 	n.sendIP(fwd)
 }
 
@@ -276,17 +312,23 @@ func (n *Node) sendTimeExceeded(in *Iface, hdr packet.IPv4, orig []byte) {
 	if len(quote) > 28 { // IP header + 8 bytes
 		quote = quote[:28]
 	}
-	msg := packet.ICMPError{Type: packet.ICMPTimeExceed, Original: append([]byte(nil), quote...)}
+	msg := packet.ICMPError{Type: packet.ICMPTimeExceed, Original: quote}
 	src := in.Addr()
 	if !src.IsValid() {
 		return
 	}
 	ip := packet.IPv4{TTL: n.os.InitTTL, Protocol: packet.ProtoICMP, Src: src, Dst: hdr.Src}
-	ipPkt, err := ip.Marshal(msg.Marshal())
-	if err != nil {
-		return
+	if frame := n.sealIP(&ip, msg.AppendTo(n.ipFrame())); frame != nil {
+		n.sendAfter(n.procDelay(), frame)
 	}
-	n.engine.After(n.procDelay(), func() { n.sendIP(ipPkt) })
+}
+
+// sendAfter schedules sendIP(frame) after delay d; the event owns frame
+// until then.
+func (n *Node) sendAfter(d time.Duration, frame []byte) {
+	p := n.engine.schedule(n.engine.now+d, evSendIP)
+	p.node = n
+	p.frame = frame
 }
 
 // deliverLocal handles packets addressed to this node.
@@ -319,11 +361,12 @@ func (n *Node) handleEchoRequest(hdr packet.IPv4, msg packet.ICMPEcho) {
 	if n.DropProb > 0 && n.lossSrc != nil && n.lossSrc.Float64() < n.DropProb {
 		return
 	}
+	// AppendTo copies the echoed payload out of the received frame.
 	reply := packet.ICMPEcho{
 		Type:    packet.ICMPEchoReply,
 		IDent:   msg.IDent,
 		Seq:     msg.Seq,
-		Payload: append([]byte(nil), msg.Payload...),
+		Payload: msg.Payload,
 	}
 	ip := packet.IPv4{
 		TTL:      n.os.InitTTL,
@@ -331,11 +374,9 @@ func (n *Node) handleEchoRequest(hdr packet.IPv4, msg packet.ICMPEcho) {
 		Src:      hdr.Dst,
 		Dst:      hdr.Src,
 	}
-	ipPkt, err := ip.Marshal(reply.Marshal())
-	if err != nil {
-		return
+	if frame := n.sealIP(&ip, reply.AppendTo(n.ipFrame())); frame != nil {
+		n.sendAfter(n.procDelay(), frame)
 	}
-	n.engine.After(n.procDelay(), func() { n.sendIP(ipPkt) })
 }
 
 // procDelay samples the ICMP processing delay.

@@ -23,6 +23,7 @@ type PingResult struct {
 type pingState struct {
 	target netip.Addr
 	sentAt time.Duration
+	ident  uint16
 	seq    uint16
 	cb     func(PingResult)
 	done   bool
@@ -36,39 +37,72 @@ type pingState struct {
 func (n *Node) Ping(dst netip.Addr, timeout time.Duration, cb func(PingResult)) {
 	n.nextIdent++
 	ident := n.nextIdent
-	st := &pingState{
+	slot := n.newPing()
+	n.pings[slot] = pingState{
 		target: dst,
 		sentAt: n.engine.Now(),
+		ident:  ident,
 		seq:    1,
 		cb:     cb,
 	}
-	n.pending[ident] = st
+	n.pending[ident] = slot
 
-	req := packet.ICMPEcho{Type: packet.ICMPEchoRequest, IDent: ident, Seq: st.seq}
-	srcAddr := n.sourceAddrFor(dst)
-	ip := packet.IPv4{
-		TTL:      n.os.InitTTL,
-		Protocol: packet.ProtoICMP,
-		Src:      srcAddr,
-		Dst:      dst,
-	}
-	ipPkt, err := ip.Marshal(req.Marshal())
-	if err == nil && srcAddr.IsValid() {
-		n.sendIP(ipPkt)
-	}
-
-	n.engine.After(timeout, func() {
-		if st.done {
-			return
+	if srcAddr := n.sourceAddrFor(dst); srcAddr.IsValid() {
+		req := packet.ICMPEcho{Type: packet.ICMPEchoRequest, IDent: ident, Seq: 1}
+		ip := packet.IPv4{
+			TTL:      n.os.InitTTL,
+			Protocol: packet.ProtoICMP,
+			Src:      srcAddr,
+			Dst:      dst,
 		}
-		st.done = true
-		delete(n.pending, ident)
-		st.cb(PingResult{
-			Target:   st.target,
-			Seq:      st.seq,
-			TimedOut: true,
-			SentAt:   st.sentAt,
-		})
+		if frame := n.sealIP(&ip, req.AppendTo(n.ipFrame())); frame != nil {
+			n.sendIP(frame)
+		}
+	}
+
+	p := n.engine.schedule(n.engine.now+timeout, evPingTimeout)
+	p.node = n
+	p.ping = slot
+}
+
+// PingAt schedules Ping(dst, timeout, cb) to run at the absolute
+// simulation time at. It is Schedule with a Ping inside, without a
+// closure per probe: campaigns queue every probe up front.
+func (n *Node) PingAt(at time.Duration, dst netip.Addr, timeout time.Duration, cb func(PingResult)) {
+	p := n.engine.schedule(at, evPing)
+	p.node = n
+	p.dst = dst
+	p.timeout = timeout
+	p.cb = cb
+}
+
+// newPing returns a free slot in the node's ping table.
+func (n *Node) newPing() int32 {
+	if k := len(n.freePings); k > 0 {
+		slot := n.freePings[k-1]
+		n.freePings = n.freePings[:k-1]
+		return slot
+	}
+	n.pings = append(n.pings, pingState{})
+	return int32(len(n.pings) - 1)
+}
+
+// pingTimeout fires a ping's deadline: it reports the timeout unless the
+// reply came first, and frees the ping's slot either way (the deadline
+// is the last event referring to it).
+func (n *Node) pingTimeout(slot int32) {
+	st := n.pings[slot]
+	n.pings[slot] = pingState{}
+	n.freePings = append(n.freePings, slot)
+	if st.done {
+		return
+	}
+	delete(n.pending, st.ident)
+	st.cb(PingResult{
+		Target:   st.target,
+		Seq:      st.seq,
+		TimedOut: true,
+		SentAt:   st.sentAt,
 	})
 }
 
@@ -88,10 +122,11 @@ func (n *Node) handleEchoReply(hdr packet.IPv4, msg packet.ICMPEcho) {
 	if n.resolveTraceEcho(hdr, msg) {
 		return
 	}
-	st, ok := n.pending[msg.IDent]
-	if !ok || st.done {
+	slot, ok := n.pending[msg.IDent]
+	if !ok || n.pings[slot].done {
 		return
 	}
+	st := &n.pings[slot]
 	st.done = true
 	delete(n.pending, msg.IDent)
 	st.cb(PingResult{

@@ -93,8 +93,10 @@ func (n *Node) traceStep(st *traceState, ttl int) {
 	req := packet.ICMPEcho{Type: packet.ICMPEchoRequest, IDent: ident, Seq: uint16(ttl)}
 	srcAddr := n.sourceAddrFor(st.target)
 	ip := packet.IPv4{TTL: uint8(ttl), Protocol: packet.ProtoICMP, Src: srcAddr, Dst: st.target}
-	if ipPkt, err := ip.Marshal(req.Marshal()); err == nil && srcAddr.IsValid() {
-		n.sendIP(ipPkt)
+	if srcAddr.IsValid() {
+		if frame := n.sealIP(&ip, req.AppendTo(n.ipFrame())); frame != nil {
+			n.sendIP(frame)
+		}
 	}
 
 	n.engine.After(st.perHop, func() {

@@ -62,17 +62,24 @@ type Ethernet struct {
 	Type EtherType
 }
 
-// ethernetHeaderLen is the length of an Ethernet II header.
-const ethernetHeaderLen = 14
+// EthernetHeaderLen is the length of an Ethernet II header.
+const EthernetHeaderLen = 14
 
 // Marshal prepends the Ethernet header to payload and returns the frame.
 func (e *Ethernet) Marshal(payload []byte) []byte {
-	buf := make([]byte, ethernetHeaderLen+len(payload))
-	copy(buf[0:6], e.Dst[:])
-	copy(buf[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(buf[12:14], uint16(e.Type))
-	copy(buf[ethernetHeaderLen:], payload)
+	buf := make([]byte, EthernetHeaderLen+len(payload))
+	e.MarshalTo(buf)
+	copy(buf[EthernetHeaderLen:], payload)
 	return buf
+}
+
+// MarshalTo writes the Ethernet header into frame[:EthernetHeaderLen],
+// in front of a payload the caller has already placed behind it. It
+// writes every header byte, so frame may be a recycled buffer.
+func (e *Ethernet) MarshalTo(frame []byte) {
+	copy(frame[0:6], e.Dst[:])
+	copy(frame[6:12], e.Src[:])
+	binary.BigEndian.PutUint16(frame[12:14], uint16(e.Type))
 }
 
 // Errors returned by decoders.
@@ -85,14 +92,14 @@ var (
 // UnmarshalEthernet parses frame and returns the header and payload. The
 // payload aliases the input slice.
 func UnmarshalEthernet(frame []byte) (Ethernet, []byte, error) {
-	if len(frame) < ethernetHeaderLen {
+	if len(frame) < EthernetHeaderLen {
 		return Ethernet{}, nil, fmt.Errorf("%w: ethernet frame %d bytes", ErrTruncated, len(frame))
 	}
 	var e Ethernet
 	copy(e.Dst[:], frame[0:6])
 	copy(e.Src[:], frame[6:12])
 	e.Type = EtherType(binary.BigEndian.Uint16(frame[12:14]))
-	return e, frame[ethernetHeaderLen:], nil
+	return e, frame[EthernetHeaderLen:], nil
 }
 
 // IPProtocol identifies the payload of an IPv4 packet.
@@ -119,55 +126,77 @@ type IPv4 struct {
 	Dst      netip.Addr
 }
 
-// ipv4HeaderLen is the length of an optionless IPv4 header.
-const ipv4HeaderLen = 20
+// IPv4HeaderLen is the length of an optionless IPv4 header.
+const IPv4HeaderLen = 20
 
 // Marshal prepends the IPv4 header (with correct checksum and total length)
 // to payload.
 func (h *IPv4) Marshal(payload []byte) ([]byte, error) {
-	if !h.Src.Is4() || !h.Dst.Is4() {
-		return nil, fmt.Errorf("packet: IPv4 marshal requires v4 addresses, got %v -> %v", h.Src, h.Dst)
+	if err := h.check(len(payload)); err != nil {
+		return nil, err
 	}
-	total := ipv4HeaderLen + len(payload)
-	if total > 0xffff {
-		return nil, fmt.Errorf("packet: IPv4 payload too large (%d bytes)", len(payload))
+	buf := make([]byte, IPv4HeaderLen+len(payload))
+	copy(buf[IPv4HeaderLen:], payload)
+	return buf, h.MarshalTo(buf)
+}
+
+// MarshalTo writes the IPv4 header (with correct checksum and total
+// length) into pkt[:IPv4HeaderLen], in front of the payload the caller
+// has already placed in pkt[IPv4HeaderLen:]. It writes every header
+// byte, so pkt may be a recycled buffer.
+func (h *IPv4) MarshalTo(pkt []byte) error {
+	if len(pkt) < IPv4HeaderLen {
+		return fmt.Errorf("%w: IPv4 buffer %d bytes", ErrTruncated, len(pkt))
 	}
-	buf := make([]byte, total)
-	buf[0] = 0x45 // version 4, IHL 5
-	buf[1] = h.TOS
-	binary.BigEndian.PutUint16(buf[2:4], uint16(total))
-	binary.BigEndian.PutUint16(buf[4:6], h.ID)
+	if err := h.check(len(pkt) - IPv4HeaderLen); err != nil {
+		return err
+	}
+	pkt[0] = 0x45 // version 4, IHL 5
+	pkt[1] = h.TOS
+	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
+	binary.BigEndian.PutUint16(pkt[4:6], h.ID)
 	frag := uint16(h.Flags)<<13 | (h.FragOff & 0x1fff)
-	binary.BigEndian.PutUint16(buf[6:8], frag)
-	buf[8] = h.TTL
-	buf[9] = uint8(h.Protocol)
+	binary.BigEndian.PutUint16(pkt[6:8], frag)
+	pkt[8] = h.TTL
+	pkt[9] = uint8(h.Protocol)
+	pkt[10], pkt[11] = 0, 0
 	src := h.Src.As4()
 	dst := h.Dst.As4()
-	copy(buf[12:16], src[:])
-	copy(buf[16:20], dst[:])
-	binary.BigEndian.PutUint16(buf[10:12], checksum(buf[:ipv4HeaderLen]))
-	copy(buf[ipv4HeaderLen:], payload)
-	return buf, nil
+	copy(pkt[12:16], src[:])
+	copy(pkt[16:20], dst[:])
+	binary.BigEndian.PutUint16(pkt[10:12], checksum(pkt[:IPv4HeaderLen]))
+	return nil
+}
+
+// check validates the header's addresses and the packet size.
+func (h *IPv4) check(payloadLen int) error {
+	if !h.Src.Is4() || !h.Dst.Is4() {
+		return fmt.Errorf("packet: IPv4 marshal requires v4 addresses, got %v -> %v", h.Src, h.Dst)
+	}
+	if IPv4HeaderLen+payloadLen > 0xffff {
+		return fmt.Errorf("packet: IPv4 payload too large (%d bytes)", payloadLen)
+	}
+	return nil
 }
 
 // UnmarshalIPv4 parses pkt, verifying version, length, and header checksum.
 // The returned payload aliases the input.
 func UnmarshalIPv4(pkt []byte) (IPv4, []byte, error) {
-	if len(pkt) < ipv4HeaderLen {
+	if len(pkt) < IPv4HeaderLen {
 		return IPv4{}, nil, fmt.Errorf("%w: IPv4 packet %d bytes", ErrTruncated, len(pkt))
 	}
 	if pkt[0]>>4 != 4 {
 		return IPv4{}, nil, fmt.Errorf("%w: version %d", ErrBadVersion, pkt[0]>>4)
 	}
 	ihl := int(pkt[0]&0x0f) * 4
-	if ihl != ipv4HeaderLen {
+	if ihl != IPv4HeaderLen {
 		return IPv4{}, nil, fmt.Errorf("packet: unsupported IPv4 header length %d", ihl)
 	}
 	total := int(binary.BigEndian.Uint16(pkt[2:4]))
-	if total < ipv4HeaderLen || total > len(pkt) {
+	if total < IPv4HeaderLen || total > len(pkt) {
 		return IPv4{}, nil, fmt.Errorf("%w: IPv4 total length %d of %d", ErrTruncated, total, len(pkt))
 	}
-	if checksum(pkt[:ipv4HeaderLen]) != 0 {
+	if checksum(pkt[:IPv4HeaderLen]) != 0 {
 		return IPv4{}, nil, fmt.Errorf("%w: IPv4 header", ErrBadChecksum)
 	}
 	var h IPv4
@@ -180,7 +209,7 @@ func UnmarshalIPv4(pkt []byte) (IPv4, []byte, error) {
 	h.Protocol = IPProtocol(pkt[9])
 	h.Src = netip.AddrFrom4([4]byte(pkt[12:16]))
 	h.Dst = netip.AddrFrom4([4]byte(pkt[16:20]))
-	return h, pkt[ipv4HeaderLen:total], nil
+	return h, pkt[IPv4HeaderLen:total], nil
 }
 
 // DecrementTTL rewrites the TTL in a marshalled IPv4 packet in place,
@@ -188,7 +217,7 @@ func UnmarshalIPv4(pkt []byte) (IPv4, []byte, error) {
 // recompute; the packet is small). It returns the new TTL and an error if
 // the TTL was already zero.
 func DecrementTTL(pkt []byte) (uint8, error) {
-	if len(pkt) < ipv4HeaderLen {
+	if len(pkt) < IPv4HeaderLen {
 		return 0, fmt.Errorf("%w: IPv4 packet %d bytes", ErrTruncated, len(pkt))
 	}
 	if pkt[8] == 0 {
@@ -196,7 +225,7 @@ func DecrementTTL(pkt []byte) (uint8, error) {
 	}
 	pkt[8]--
 	pkt[10], pkt[11] = 0, 0
-	binary.BigEndian.PutUint16(pkt[10:12], checksum(pkt[:ipv4HeaderLen]))
+	binary.BigEndian.PutUint16(pkt[10:12], checksum(pkt[:IPv4HeaderLen]))
 	return pkt[8], nil
 }
 
@@ -225,14 +254,18 @@ const icmpEchoHeaderLen = 8
 
 // Marshal serializes the echo message with a correct checksum.
 func (m *ICMPEcho) Marshal() []byte {
-	buf := make([]byte, icmpEchoHeaderLen+len(m.Payload))
-	buf[0] = uint8(m.Type)
-	buf[1] = m.Code
-	binary.BigEndian.PutUint16(buf[4:6], m.IDent)
-	binary.BigEndian.PutUint16(buf[6:8], m.Seq)
-	copy(buf[icmpEchoHeaderLen:], m.Payload)
-	binary.BigEndian.PutUint16(buf[2:4], checksum(buf))
-	return buf
+	return m.AppendTo(make([]byte, 0, icmpEchoHeaderLen+len(m.Payload)))
+}
+
+// AppendTo appends the serialized echo message, with a correct checksum,
+// to b and returns the extended slice.
+func (m *ICMPEcho) AppendTo(b []byte) []byte {
+	start := len(b)
+	b = append(b, uint8(m.Type), m.Code, 0, 0,
+		byte(m.IDent>>8), byte(m.IDent), byte(m.Seq>>8), byte(m.Seq))
+	b = append(b, m.Payload...)
+	binary.BigEndian.PutUint16(b[start+2:start+4], checksum(b[start:]))
+	return b
 }
 
 // UnmarshalICMPEcho parses an ICMP echo request/reply, verifying the
@@ -273,12 +306,17 @@ const icmpErrorHeaderLen = 8
 
 // Marshal serializes the error message with a correct checksum.
 func (m *ICMPError) Marshal() []byte {
-	buf := make([]byte, icmpErrorHeaderLen+len(m.Original))
-	buf[0] = uint8(m.Type)
-	buf[1] = m.Code
-	copy(buf[icmpErrorHeaderLen:], m.Original)
-	binary.BigEndian.PutUint16(buf[2:4], checksum(buf))
-	return buf
+	return m.AppendTo(make([]byte, 0, icmpErrorHeaderLen+len(m.Original)))
+}
+
+// AppendTo appends the serialized error message, with a correct
+// checksum, to b and returns the extended slice.
+func (m *ICMPError) AppendTo(b []byte) []byte {
+	start := len(b)
+	b = append(b, uint8(m.Type), m.Code, 0, 0, 0, 0, 0, 0)
+	b = append(b, m.Original...)
+	binary.BigEndian.PutUint16(b[start+2:start+4], checksum(b[start:]))
+	return b
 }
 
 // UnmarshalICMPError parses an ICMP error message, verifying the checksum.
@@ -300,12 +338,12 @@ func UnmarshalICMPError(b []byte) (ICMPError, error) {
 // the packet was an ICMP echo, its ident and seq — what traceroute
 // implementations use to match replies to probes.
 func (m *ICMPError) InnerEcho() (IPv4, uint16, uint16, error) {
-	if len(m.Original) < ipv4HeaderLen+icmpEchoHeaderLen {
+	if len(m.Original) < IPv4HeaderLen+icmpEchoHeaderLen {
 		return IPv4{}, 0, 0, fmt.Errorf("%w: embedded packet %d bytes", ErrTruncated, len(m.Original))
 	}
 	// The embedded header is parsed leniently (no total-length check:
 	// only a prefix of the payload is quoted).
-	hdrBytes := m.Original[:ipv4HeaderLen]
+	hdrBytes := m.Original[:IPv4HeaderLen]
 	if hdrBytes[0]>>4 != 4 {
 		return IPv4{}, 0, 0, ErrBadVersion
 	}
@@ -317,7 +355,7 @@ func (m *ICMPError) InnerEcho() (IPv4, uint16, uint16, error) {
 	if h.Protocol != ProtoICMP {
 		return h, 0, 0, nil
 	}
-	inner := m.Original[ipv4HeaderLen:]
+	inner := m.Original[IPv4HeaderLen:]
 	ident := binary.BigEndian.Uint16(inner[4:6])
 	seq := binary.BigEndian.Uint16(inner[6:8])
 	return h, ident, seq, nil

@@ -299,3 +299,39 @@ func TestEchoRequestReplyFrames(t *testing.T) {
 		t.Errorf("reply type %d", icmp.Type)
 	}
 }
+
+// TestEncodersIntoRecycledBuffers checks that the in-place encoders
+// produce exactly the allocating encoders' bytes when writing into a
+// dirty, reused buffer — the simulator's frame free list hands out such
+// buffers.
+func TestEncodersIntoRecycledBuffers(t *testing.T) {
+	echo := ICMPEcho{Type: ICMPEchoReply, IDent: 0x1234, Seq: 7, Payload: []byte("abc")}
+	icmpErr := ICMPError{Type: ICMPTimeExceed, Original: []byte("quoted-header-and-8-bytes...")}
+	ip := IPv4{TOS: 1, ID: 9, TTL: 63, Protocol: ProtoICMP, Src: addr("10.0.0.1"), Dst: addr("10.0.0.2")}
+	eth := Ethernet{Dst: MACFromUint64(1), Src: MACFromUint64(2), Type: EtherTypeIPv4}
+	for name, body := range map[string][]byte{"echo": echo.Marshal(), "error": icmpErr.Marshal()} {
+		pkt, err := ip.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eth.Marshal(pkt)
+
+		dirty := bytes.Repeat([]byte{0xa5}, 128)
+		buf := dirty[:EthernetHeaderLen+IPv4HeaderLen]
+		if name == "echo" {
+			buf = echo.AppendTo(buf)
+		} else {
+			buf = icmpErr.AppendTo(buf)
+		}
+		if err := ip.MarshalTo(buf[EthernetHeaderLen:]); err != nil {
+			t.Fatal(err)
+		}
+		eth.MarshalTo(buf)
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%s: in-place frame\n% x\nwant\n% x", name, buf, want)
+		}
+	}
+	if err := ip.MarshalTo(make([]byte, IPv4HeaderLen-1)); err == nil {
+		t.Error("MarshalTo accepted a buffer shorter than the header")
+	}
+}

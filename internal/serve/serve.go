@@ -53,6 +53,7 @@ import (
 	"remotepeering/internal/catalog"
 	"remotepeering/internal/econ"
 	"remotepeering/internal/fault"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/obs"
 	"remotepeering/internal/offload"
@@ -776,6 +777,9 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	days, err := intParam(q.Get("days"), 0)
+	if err == nil {
+		_, err = lg.CampaignDays(days)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad days: %v", err)
 		return
@@ -797,9 +801,7 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 			(days == 0 || time.Duration(days)*24*time.Hour == res.Campaign.Duration)
 		if !usable {
 			opts := spread.Options{Seed: seed, Workers: s.workers}
-			if days > 0 {
-				opts.Campaign.Duration = time.Duration(days) * 24 * time.Hour
-			}
+			opts.Campaign.Duration = time.Duration(days) * 24 * time.Hour
 			fresh, runErr := spread.RunCtx(ctx, ws.world, opts)
 			if runErr != nil {
 				return nil, runErr
@@ -1048,6 +1050,9 @@ func ParseWhatifRequest(w http.ResponseWriter, r *http.Request) (WhatifRequest, 
 			return req, fmt.Errorf("bad traffic-seed: %v", err)
 		}
 	}
+	if _, err := lg.CampaignDays(int64(req.Days)); err != nil {
+		return req, fmt.Errorf("bad days: %v", err)
+	}
 	return req, nil
 }
 
@@ -1109,9 +1114,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			Faults:       s.faults,
 			FaultKey:     id,
 		}
-		if req.Days > 0 {
-			opts.Campaign.Duration = time.Duration(req.Days) * 24 * time.Hour
-		}
+		opts.Campaign.Duration = time.Duration(req.Days) * 24 * time.Hour
 		rep, err := scenario.RunCtx(ctx, ws.world, grid, opts)
 		if err != nil {
 			return nil, err

@@ -435,3 +435,35 @@ func TestPostWhatifEquivalentToGet(t *testing.T) {
 	}
 }
 
+// TestOversizedDaysRejected pins the campaign-length guard: a day count
+// that overflows time.Duration (or is negative) used to reach the
+// simulator as a negative campaign and panic inside a worker goroutine,
+// killing the process. Both endpoints must answer 400 and the server
+// must keep serving.
+func TestOversizedDaysRejected(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	for _, url := range []string{
+		"/v1/spread?seed=11&days=200000",
+		"/v1/spread?seed=11&days=-3",
+		"/v1/whatif?scenarios=x%3Dtraffic%3A1.5&days=200000",
+		"/v1/whatif?scenarios=x%3Dtraffic%3A1.5&days=-3",
+	} {
+		if st, _, body := get(t, h, url); st != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s", url, st, body)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/whatif",
+		strings.NewReader(`{"scenarios":"x=traffic:1.5","days":200000}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST days=200000: status %d, body %s", rec.Code, rec.Body)
+	}
+	if st, _, body := get(t, h, "/v1/world"); st != http.StatusOK {
+		t.Fatalf("server stopped serving after rejected days: status %d, body %s", st, body)
+	}
+	if st, _, body := get(t, h, "/v1/spread"); st != http.StatusOK {
+		t.Fatalf("spread after rejected days: status %d, body %s", st, body)
+	}
+}

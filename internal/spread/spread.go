@@ -9,9 +9,12 @@ package spread
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"time"
 
 	"remotepeering/internal/core"
@@ -118,6 +121,10 @@ func (r *Result) Reanalyze(w *worldgen.World, cfg core.Config) (*core.Report, er
 	return core.Analyze(r.Raw, registry.FromWorld(w), r.Campaign.Duration, cfg)
 }
 
+// ErrCampaignDuration reports a campaign whose effective duration is not
+// positive — for example a day count that overflowed time.Duration.
+var ErrCampaignDuration = errors.New("spread: non-positive campaign duration")
+
 // Run reproduces Section 3 over the given world.
 func Run(w *worldgen.World, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), w, opts)
@@ -128,6 +135,10 @@ func Run(w *worldgen.World, opts Options) (*Result, error) {
 // ctx.Err(). The scenario engine passes its cell context here so an
 // abandoned what-if stops inside the campaign — the pipeline's longest
 // stage — rather than running all studied IXPs to completion.
+//
+// Each IXP simulation runs under the profiler labels stage=spread and
+// ixp=<index>, and the detector under stage=analyze, so a CPU profile
+// attributes its samples per stage and per IXP (pprof -tagfocus).
 func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -149,6 +160,9 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	if campaignCfg.Duration == 0 {
 		campaignCfg.Duration = time.Duration(w.CampaignDuration()) * 24 * time.Hour
 	}
+	if campaignCfg.Duration <= 0 {
+		return nil, fmt.Errorf("%w: %v", ErrCampaignDuration, campaignCfg.Duration)
+	}
 
 	// The IXP simulations are mutually independent — separate fabrics,
 	// nodes, and event queues — so each runs in its own engine and the
@@ -165,10 +179,6 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		campSrcs[k] = src.Split(fmt.Sprintf("campaign-%d", idx))
 	}
 
-	type ixpRun struct {
-		truth map[netip.Addr]bool
-		obs   []lg.Observation
-	}
 	runs, err := parallel.MapErrCtx(ctx, opts.Workers, len(ixps), func(k int) (ixpRun, error) {
 		idx := ixps[k]
 		if r := opts.Reuse; r != nil && r.From != nil && (r.Dirty == nil || !r.Dirty(idx)) {
@@ -179,27 +189,12 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 				return ixpRun{truth: r.From.truth[idx], obs: obs}, nil
 			}
 		}
-		var e netsim.Engine
-		camp := lg.NewCampaign(campaignCfg)
-		sim, err := ixpsim.Build(&e, w, idx, campaignCfg.Duration, simSrcs[k])
-		if err != nil {
-			return ixpRun{}, fmt.Errorf("spread: build IXP %d: %w", idx, err)
-		}
-		if err := camp.Schedule(&e, sim, campSrcs[k]); err != nil {
-			return ixpRun{}, fmt.Errorf("spread: schedule IXP %d: %w", idx, err)
-		}
-		if err := e.Run(); err != nil {
-			return ixpRun{}, fmt.Errorf("spread: campaign IXP %d: %w", idx, err)
-		}
-		// Canonicalise each stream inside its own worker: the merge below
-		// concatenates segments in ascending IXP order, and because the
-		// canonical sort's leading key is the IXP index, per-segment
-		// stable sorts compose into exactly the sequence one global
-		// stable sort would produce — cheaper (smaller sorts, in
-		// parallel), and spliced streams arrive pre-sorted for free.
-		obs := camp.Raw()
-		lg.Sort(obs)
-		return ixpRun{truth: sim.TruthMap(), obs: obs}, nil
+		var run ixpRun
+		var err error
+		pprof.Do(ctx, pprof.Labels("stage", "spread", "ixp", strconv.Itoa(idx)), func(context.Context) {
+			run, err = simulateIXP(w, idx, campaignCfg, simSrcs[k], campSrcs[k])
+		})
+		return run, err
 	})
 	if err != nil {
 		return nil, err
@@ -239,7 +234,10 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		lg.Sort(obs)
 	}
 	reg := registry.FromWorld(w)
-	report, err := core.Analyze(obs, reg, campaignCfg.Duration, opts.Detector)
+	var report *core.Report
+	pprof.Do(ctx, pprof.Labels("stage", "analyze"), func(context.Context) {
+		report, err = core.Analyze(obs, reg, campaignCfg.Duration, opts.Detector)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("spread: detector: %w", err)
 	}
@@ -256,6 +254,39 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		perIXP:       perIXP,
 		truth:        truths,
 	}, nil
+}
+
+// ixpRun is one IXP's share of a campaign: its ground-truth table and
+// its canonically sorted raw observation stream.
+type ixpRun struct {
+	truth map[netip.Addr]bool
+	obs   []lg.Observation
+}
+
+// simulateIXP runs the discrete-event campaign of one studied IXP in its
+// own engine.
+func simulateIXP(w *worldgen.World, idx int, campaignCfg lg.Config, simSrc, campSrc *stats.Source) (ixpRun, error) {
+	var e netsim.Engine
+	camp := lg.NewCampaign(campaignCfg)
+	sim, err := ixpsim.Build(&e, w, idx, campaignCfg.Duration, simSrc)
+	if err != nil {
+		return ixpRun{}, fmt.Errorf("spread: build IXP %d: %w", idx, err)
+	}
+	if err := camp.Schedule(&e, sim, campSrc); err != nil {
+		return ixpRun{}, fmt.Errorf("spread: schedule IXP %d: %w", idx, err)
+	}
+	if err := e.Run(); err != nil {
+		return ixpRun{}, fmt.Errorf("spread: campaign IXP %d: %w", idx, err)
+	}
+	// Canonicalise each stream inside its own worker: the merge in RunCtx
+	// concatenates segments in ascending IXP order, and because the
+	// canonical sort's leading key is the IXP index, per-segment stable
+	// sorts compose into exactly the sequence one global stable sort
+	// would produce — cheaper (smaller sorts, in parallel), and spliced
+	// streams arrive pre-sorted for free.
+	obs := camp.Raw()
+	lg.Sort(obs)
+	return ixpRun{truth: sim.TruthMap(), obs: obs}, nil
 }
 
 // truthFunc wraps per-IXP ground-truth tables as a Result.Truth closure.

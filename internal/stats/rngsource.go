@@ -3,13 +3,20 @@
 // Profile background: the spread campaign and the scenario grid split
 // thousands of labelled child Sources per run, and rand.NewSource's
 // seeding — a ~1,900-step Lehmer recurrence feeding a 607-word lagged
-// Fibonacci state — showed up as ~25% of whole-grid CPU. Two facts make
+// Fibonacci state — showed up as ~25% of whole-grid CPU. Three facts make
 // that cost avoidable without changing a single emitted value:
 //
 //   - The seeded state is a pure function of the seed, so a bounded
-//     seed→state cache turns the recurrence into a 4.8 KB copy. The
+//     seed→state cache turns the recurrence into a map lookup. The
 //     what-if engine re-derives the *same* labelled seeds in every cell
 //     that reuses a clean stage, so the hit rate in grid runs is high.
+//   - The generator's first 273 outputs read only the seeded vector:
+//     output k is vec₀[334−k] + vec₀[607−k], and every write before draw
+//     274 lands on a word no earlier draw reads again. A source therefore
+//     reads the shared, immutable seeded state directly and takes a
+//     private 4.8 KB copy only at draw 274, by replaying those 273
+//     writes. Most simulated nodes draw a few dozen values in a whole
+//     campaign, so most sources never copy at all.
 //   - The Lehmer step (48271·x mod 2³¹−1) over a Mersenne modulus
 //     reduces with a shift-add fold instead of Schrage division —
 //     bit-identical values, substantially cheaper cold seeding.
@@ -43,12 +50,25 @@ type rngState [rngLen]int64
 
 // lfsrSource replicates math/rand's additive lagged-Fibonacci source
 // (Mitchell & Reeds): Uint64 walks two taps through vec, adding.
+//
+// A source starts copy-free: vec is nil and the first rngTap draws read
+// the shared seeded state base, which is never written. The draw after
+// that materialises vec (see own) and the generator continues on it.
 type lfsrSource struct {
 	tap, feed int
-	vec       rngState
+	drawn     int       // draws served from base while vec is nil
+	base      *rngState // shared seeded state; read-only
+	vec       *rngState // private state; nil until draw rngTap+1
 }
 
 func (s *lfsrSource) Uint64() uint64 {
+	if s.vec == nil {
+		if s.drawn < rngTap {
+			s.drawn++
+			return uint64(s.base[rngLen-rngTap-s.drawn] + s.base[rngLen-s.drawn])
+		}
+		s.own()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -62,12 +82,30 @@ func (s *lfsrSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// own gives the source its private state: a copy of base with the writes
+// of the rngTap draws already served replayed onto it, and the taps
+// positioned where those draws left them.
+func (s *lfsrSource) own() {
+	v := new(rngState)
+	*v = *s.base
+	for k := 1; k <= rngTap; k++ {
+		v[rngLen-rngTap-k] = s.base[rngLen-rngTap-k] + s.base[rngLen-k]
+	}
+	s.vec = v
+	s.tap = rngLen - rngTap
+	s.feed = rngLen - 2*rngTap
+}
+
 func (s *lfsrSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 func (s *lfsrSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	seedState(&s.vec, seed)
+	s.base = nil
+	if s.vec == nil {
+		s.vec = new(rngState)
+	}
+	seedState(s.vec, seed)
 }
 
 // seedrand advances the Lehmer seeding recurrence: 48271·x mod 2³¹−1,
@@ -114,9 +152,11 @@ var (
 	fastSourceOK bool
 
 	// seedCache memoises seeded states. Entries are immutable once
-	// stored; FIFO eviction bounds it to ~80 MB (16k states of 4.8 KB —
-	// sized so a paper-scale 22-IXP campaign's per-member streams fit
-	// without thrashing).
+	// stored — live sources read them in place — and FIFO eviction bounds
+	// the cache to ~80 MB (16k states of 4.8 KB). That is sized so a
+	// paper-scale 22-IXP campaign's per-member streams fit without
+	// thrashing; an evicted state stays alive for as long as a source
+	// still reads it.
 	seedCacheMu    sync.Mutex
 	seedCache      = map[int64]*rngState{}
 	seedCacheOrder []int64
@@ -176,30 +216,34 @@ func init() {
 }
 
 // newRandSource returns a rand.Source64 seeded like rand.NewSource(seed),
-// from the state cache when possible.
+// reading its seeded state from the cache when possible.
 func newRandSource(seed int64) rand.Source64 {
 	if !fastSourceOK {
 		return rand.NewSource(seed).(rand.Source64)
 	}
-	s := &lfsrSource{tap: 0, feed: rngLen - rngTap}
+	return &lfsrSource{tap: 0, feed: rngLen - rngTap, base: seededState(seed)}
+}
+
+// seededState returns the shared, read-only seeded state for seed.
+func seededState(seed int64) *rngState {
 	seedCacheMu.Lock()
 	st := seedCache[seed]
 	seedCacheMu.Unlock()
 	if st != nil {
-		s.vec = *st
-		return s
+		return st
 	}
-	seedState(&s.vec, seed)
-	snap := s.vec
+	st = new(rngState)
+	seedState(st, seed)
 	seedCacheMu.Lock()
-	if seedCache[seed] == nil {
-		if len(seedCacheOrder) >= seedCacheMax {
-			delete(seedCache, seedCacheOrder[0])
-			seedCacheOrder = seedCacheOrder[1:]
-		}
-		seedCache[seed] = &snap
-		seedCacheOrder = append(seedCacheOrder, seed)
+	defer seedCacheMu.Unlock()
+	if cached := seedCache[seed]; cached != nil {
+		return cached
 	}
-	seedCacheMu.Unlock()
-	return s
+	if len(seedCacheOrder) >= seedCacheMax {
+		delete(seedCache, seedCacheOrder[0])
+		seedCacheOrder = seedCacheOrder[1:]
+	}
+	seedCache[seed] = st
+	seedCacheOrder = append(seedCacheOrder, seed)
+	return st
 }

@@ -293,13 +293,13 @@ func (f ExpFit) Eval(x float64) float64 { return f.A * math.Exp(-f.B*x) }
 // reproduction receives one, derived from a single top-level seed, so that
 // the whole pipeline is reproducible bit-for-bit.
 //
-// The generator state materialises lazily, on the first draw: a large
-// share of Sources exist only as namespaces — split to derive labelled
-// children, never drawn from — and the seeded lagged-Fibonacci state
-// behind a live generator is ~4.9 KB, which made eager seeding the
-// dominant allocator of whole-campaign profiles. Laziness is invisible
-// to determinism: the seed fully determines the stream whenever (and
-// whether) it is first needed.
+// The generator materialises lazily, on the first draw: a large share of
+// Sources exist only as namespaces — split to derive labelled children,
+// never drawn from. A drawn Source shares the cached seeded state of its
+// seed and takes a private copy only past its 273rd draw (see
+// rngsource.go), so a lightly drawn Source costs a few small objects
+// rather than a 4.8 KB state. Both are invisible to determinism: the seed
+// fully determines the stream whenever (and whether) it is first needed.
 type Source struct {
 	rng       *rand.Rand
 	seed      int64

@@ -467,3 +467,81 @@ func TestFastSourceCacheHitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyFreeSourceBoundaries checks the copy-free source against
+// math/rand around the draw at which it stops reading the shared seeded
+// state and takes its own copy (draw 274), at the first lap of the
+// 607-word state, and far beyond — on a cold seed (cache miss), the same
+// seed again (cache hit), and a Split child.
+func TestCopyFreeSourceBoundaries(t *testing.T) {
+	if !fastSourceOK {
+		t.Skip("fast source disabled on this toolchain; Sources fall back to math/rand itself")
+	}
+	// Every draw 1..5000 is compared, which covers the named ones (1,
+	// 273, 274, 275, 607, 608, 5000); the copy must happen exactly at 274.
+	compare := func(t *testing.T, seed int64, got rand.Source64) {
+		t.Helper()
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 1; i <= 5000; i++ {
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %d draw %d: got %d, want %d", seed, i, g, w)
+			}
+			if s := got.(*lfsrSource); (s.vec != nil) != (i >= 274) {
+				t.Fatalf("seed %d draw %d: private state present = %v", seed, i, s.vec != nil)
+			}
+		}
+	}
+	const seed = 918273645
+	seedCacheMu.Lock()
+	_, cached := seedCache[seed]
+	seedCacheMu.Unlock()
+	if cached {
+		t.Fatalf("seed %d unexpectedly cached before the miss case", seed)
+	}
+	t.Run("miss", func(t *testing.T) { compare(t, seed, newRandSource(seed)) })
+	t.Run("hit", func(t *testing.T) {
+		src := newRandSource(seed)
+		if s := src.(*lfsrSource); s.base != seededState(seed) {
+			t.Fatal("second source for a seed did not share the cached state")
+		}
+		compare(t, seed, src)
+	})
+	t.Run("split", func(t *testing.T) {
+		child := NewSource(seed).Split("child")
+		compare(t, child.seed, newRandSource(child.seed))
+		// The Source surface draws through the same stream.
+		want := rand.New(rand.NewSource(child.seed))
+		for i := 0; i < 400; i++ {
+			if w, g := want.Float64(), child.Float64(); w != g {
+				t.Fatalf("Split child draw %d: Float64 %v != %v", i, g, w)
+			}
+		}
+	})
+	t.Run("shared state untouched", func(t *testing.T) {
+		a := newRandSource(seed)
+		for i := 0; i < 5000; i++ {
+			a.Uint64()
+		}
+		compare(t, seed, newRandSource(seed))
+	})
+}
+
+// TestSourceFallbackMatchesMathRand runs the Source surface with the fast
+// path disabled, as on a toolchain whose math/rand layout failed
+// verification: every stream must then come from rand.NewSource itself.
+func TestSourceFallbackMatchesMathRand(t *testing.T) {
+	saved := fastSourceOK
+	fastSourceOK = false
+	defer func() { fastSourceOK = saved }()
+	const seed = 56473829
+	if _, ok := newRandSource(seed).(*lfsrSource); ok {
+		t.Fatal("fallback returned the replica source")
+	}
+	want := rand.New(rand.NewSource(seed))
+	got := NewSource(seed)
+	for i := 0; i < 5000; i++ {
+		if w, g := want.Int63(), got.r().Int63(); w != g {
+			t.Fatalf("draw %d: %d != %d", i+1, g, w)
+		}
+	}
+}

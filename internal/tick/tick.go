@@ -39,6 +39,7 @@ import (
 	"remotepeering/internal/econ"
 	"remotepeering/internal/fault"
 	"remotepeering/internal/journal"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/offload"
 	"remotepeering/internal/scenario"
@@ -184,7 +185,7 @@ func ParseConfig(spec string) (Config, error) {
 		case "days":
 			var days int
 			if err = parseInt(val, &days); err == nil {
-				cfg.Pipeline.Campaign.Duration = time.Duration(days) * 24 * time.Hour
+				cfg.Pipeline.Campaign.Duration, err = lg.CampaignDays(int64(days))
 			}
 		case "k":
 			err = parseInt(val, &cfg.Pipeline.CoverageIXPs)

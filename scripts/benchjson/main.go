@@ -7,15 +7,27 @@
 // Repeated measurements of the same benchmark (a `-count` run) collapse
 // to the one with the smallest ns/op — the minimum is the standard
 // noise-floor estimator on shared machines, where interference only
-// ever adds time.
+// ever adds time. Beside it, such a record keeps the number of runs and,
+// per metric, the median and the min–max range across all runs, so a
+// comparison can tell a change from the noise.
+//
+// With -parent FILE, the document also records a second `go test -bench`
+// output — the parent commit measured on the same machine, ideally in
+// runs alternating with the change's — under "parent_benchmarks", with
+// -parent-ref naming that commit:
+//
+//	go run ./scripts/benchjson -parent parent.txt -parent-ref 50a33c2 < change.txt
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -25,6 +37,12 @@ type record struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// Runs, Median and Range are set for benchmarks measured more than
+	// once: the run count, and per metric the median and [min, max]
+	// over all runs. Metrics stays the fastest run's.
+	Runs   int                   `json:"runs,omitempty"`
+	Median map[string]float64    `json:"median,omitempty"`
+	Range  map[string][2]float64 `json:"range,omitempty"`
 }
 
 // output is the BENCH_<n>.json document.
@@ -39,22 +57,59 @@ type output struct {
 	// check from a vacuous one).
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Benches    []record `json:"benchmarks"`
+	// ParentRef and ParentBenches hold the -parent measurement.
+	ParentRef     string   `json:"parent,omitempty"`
+	ParentBenches []record `json:"parent_benchmarks,omitempty"`
 }
 
 func main() {
+	parent := flag.String("parent", "", "`file` of go test -bench output measured on the parent commit")
+	parentRef := flag.String("parent-ref", "", "name of the parent commit")
+	flag.Parse()
 	out := output{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	var err error
+	if out.CPU, out.Benches, err = parse(os.Stdin); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
+		os.Exit(1)
+	}
+	if *parent != "" {
+		f, err := os.Open(*parent)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		_, out.ParentBenches, err = parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson: read parent:", err)
+			os.Exit(1)
+		}
+		out.ParentRef = *parentRef
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads `go test -bench` output and returns the CPU line and one
+// record per benchmark name, in first-seen order.
+func parse(r io.Reader) (cpu string, benches []record, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	indexOf := map[string]int{}
+	var runs [][]map[string]float64 // per record, every run's metrics
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
-			out.CPU = cpu
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = c
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -83,22 +138,44 @@ func main() {
 			continue
 		}
 		if j, seen := indexOf[rec.Name]; seen {
-			if rec.Metrics["ns/op"] < out.Benches[j].Metrics["ns/op"] {
-				out.Benches[j] = rec
+			runs[j] = append(runs[j], rec.Metrics)
+			if rec.Metrics["ns/op"] < benches[j].Metrics["ns/op"] {
+				benches[j] = rec
 			}
 			continue
 		}
-		indexOf[rec.Name] = len(out.Benches)
-		out.Benches = append(out.Benches, rec)
+		indexOf[rec.Name] = len(benches)
+		benches = append(benches, rec)
+		runs = append(runs, []map[string]float64{rec.Metrics})
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
+	for j := range benches {
+		summarize(&benches[j], runs[j])
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
-		os.Exit(1)
+	return cpu, benches, sc.Err()
+}
+
+// summarize records the run count, medians and ranges of a benchmark
+// measured more than once.
+func summarize(rec *record, runs []map[string]float64) {
+	if len(runs) < 2 {
+		return
+	}
+	rec.Runs = len(runs)
+	rec.Median = map[string]float64{}
+	rec.Range = map[string][2]float64{}
+	for unit := range rec.Metrics {
+		var vs []float64
+		for _, m := range runs {
+			if v, ok := m[unit]; ok {
+				vs = append(vs, v)
+			}
+		}
+		slices.Sort(vs)
+		med := vs[len(vs)/2]
+		if len(vs)%2 == 0 {
+			med = (vs[len(vs)/2-1] + vs[len(vs)/2]) / 2
+		}
+		rec.Median[unit] = med
+		rec.Range[unit] = [2]float64{vs[0], vs[len(vs)-1]}
 	}
 }
